@@ -207,9 +207,9 @@ fn main() {
                 section(&scaling_demo(scale));
             }
             "sort" => {
-                // Stage-2 A/B: key-sorted radix/CSR vs the legacy per-tile
-                // comparison path, bit-identity asserted, plus the
-                // machine-readable BENCH_sort.json artifact.
+                // Stage 2: key-sorted radix/CSR timing and steady-state
+                // allocations, written as the machine-readable
+                // BENCH_sort.json artifact.
                 let text = gaurast_bench::sort_report::write_artifact(quick)
                     .expect("BENCH_sort.json must be writable and well-formed");
                 section(&text);

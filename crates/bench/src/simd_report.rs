@@ -8,10 +8,11 @@
 //! rewrite.
 
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render, render_with_arena, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render, render_with_arena, RenderConfig};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::preprocess_pooled_level;
 use gaurast_render::rasterize::rasterize_with_level;
+use gaurast_render::tile::bin_splats_pooled;
 use gaurast_render::{FrameArena, Framebuffer, SimdLevel, VectorMode};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::{Camera, GaussianScene};
@@ -225,7 +226,7 @@ fn measure_mode(
     // repeatedly (the pass clears the framebuffer itself each call).
     let pre = preprocess_pooled_level(scene, camera, &pool, level);
     let mut arena = FrameArena::new();
-    let mut workload = Stage2Mode::default().bin(
+    let mut workload = bin_splats_pooled(
         pre.splats,
         camera.width(),
         camera.height(),

@@ -1,16 +1,16 @@
 //! Stage-2 measurement harness: times the key-sorted radix/CSR path
-//! against the legacy per-tile comparison path on one scene, counts
-//! steady-state Stage-2 heap allocations, and serializes the result as the
-//! machine-readable `BENCH_sort.json` artifact both `repro sort` and the
-//! `frame_scaling` bench emit — the perf trajectory of the sort rewrite.
+//! ([`bin_splats_pooled`]) on one scene, counts steady-state Stage-2 heap
+//! allocations, and serializes the result as the machine-readable
+//! `BENCH_sort.json` artifact both `repro sort` and the `frame_scaling`
+//! bench emit — the perf trajectory of the sort rewrite.
 
 use crate::alloc_counter::allocation_count;
 use gaurast_hw::dispatch::csr_queue_loads;
 use gaurast_math::Vec3;
-use gaurast_render::pipeline::{render_with_arena, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render_with_arena, RenderConfig};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::preprocess_pooled;
-use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
+use gaurast_render::tile::bin_splats_pooled;
 use gaurast_render::{FrameArena, Splat2D};
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::Camera;
@@ -20,11 +20,9 @@ use std::time::Instant;
 /// File name of the machine-readable artifact.
 pub const BENCH_SORT_JSON: &str = "BENCH_sort.json";
 
-/// One Stage-2 mode's measurements.
+/// The key-sorted Stage-2 path's measurements.
 #[derive(Clone, Copy, Debug)]
 pub struct ModeReport {
-    /// Which Stage-2 implementation ran.
-    pub mode: Stage2Mode,
     /// Mean Stage-2 (binning + sort) wall time per frame, milliseconds.
     pub stage2_ms: f64,
     /// Mean full-frame (Stages 1–3) wall time, milliseconds.
@@ -48,7 +46,7 @@ pub struct SortBenchReport {
     pub width: u32,
     /// Frame height, pixels.
     pub height: u32,
-    /// Timed frames per mode (after one warm-up frame).
+    /// Timed frames (after one warm-up frame).
     pub frames_timed: u32,
     /// Worker-pool width the measurements ran with.
     pub workers: usize,
@@ -58,10 +56,8 @@ pub struct SortBenchReport {
     /// those pairs ([`gaurast_gpu::CudaGpuModel::sort_ops`], Orin NX
     /// host) — one per pair per scatter pass.
     pub sort_ops: u64,
-    /// Key-sorted radix/CSR path (the default).
+    /// Key-sorted radix/CSR path.
     pub keyed: ModeReport,
-    /// Legacy per-tile comparison path (the escape hatch).
-    pub legacy: ModeReport,
     /// Per-instance (splat, tile) key loads of the hardware dispatcher's
     /// round-robin schedule over the CSR offsets (15-instance scaled
     /// configuration) — the load-imbalance view of the sorted workload.
@@ -73,16 +69,9 @@ impl SortBenchReport {
     pub fn to_json(&self) -> String {
         let mode_json = |m: &ModeReport| {
             format!(
-                "{{\"mode\": \"{}\", \"stage2_ms\": {:.4}, \"full_frame_ms\": {:.4}, \
+                "{{\"mode\": \"key_sorted\", \"stage2_ms\": {:.4}, \"full_frame_ms\": {:.4}, \
                  \"frames_per_s\": {:.3}, \"stage2_allocs_per_frame\": {}}}",
-                match m.mode {
-                    Stage2Mode::KeySorted => "key_sorted",
-                    Stage2Mode::LegacyPerTile => "legacy_per_tile",
-                },
-                m.stage2_ms,
-                m.full_frame_ms,
-                m.frames_per_s,
-                m.stage2_allocs_per_frame,
+                m.stage2_ms, m.full_frame_ms, m.frames_per_s, m.stage2_allocs_per_frame,
             )
         };
         let loads = self
@@ -95,7 +84,7 @@ impl SortBenchReport {
             "{{\n  \"bench\": \"stage2_sort\",\n  \"scene_gaussians\": {},\n  \
              \"width\": {},\n  \"height\": {},\n  \"frames_timed\": {},\n  \
              \"workers\": {},\n  \"pairs\": {},\n  \"sort_ops\": {},\n  \
-             \"modes\": [\n    {},\n    {}\n  ],\n  \
+             \"modes\": [\n    {}\n  ],\n  \
              \"dispatch_queue_loads\": [{}]\n}}\n",
             self.scene_gaussians,
             self.width,
@@ -105,7 +94,6 @@ impl SortBenchReport {
             self.pairs,
             self.sort_ops,
             mode_json(&self.keyed),
-            mode_json(&self.legacy),
             loads,
         )
     }
@@ -129,29 +117,24 @@ impl SortBenchReport {
             "mode             stage2 ms   frame ms   frames/s   stage2 allocs/frame"
         )
         .unwrap();
-        for m in [&self.keyed, &self.legacy] {
-            writeln!(
-                out,
-                "{:<15} {:10.3} {:10.3} {:10.2}   {}",
-                match m.mode {
-                    Stage2Mode::KeySorted => "key-sorted",
-                    Stage2Mode::LegacyPerTile => "legacy-per-tile",
-                },
-                m.stage2_ms,
-                m.full_frame_ms,
-                m.frames_per_s,
-                if m.stage2_allocs_per_frame < 0 {
-                    "n/a (counter not installed)".to_string()
-                } else {
-                    m.stage2_allocs_per_frame.to_string()
-                },
-            )
-            .unwrap();
-        }
+        let m = &self.keyed;
         writeln!(
             out,
-            "stage-2 speedup: {:.2}x; dispatch queue loads (min..max): {}..{}",
-            self.legacy.stage2_ms / self.keyed.stage2_ms.max(1e-12),
+            "{:<15} {:10.3} {:10.3} {:10.2}   {}",
+            "key-sorted",
+            m.stage2_ms,
+            m.full_frame_ms,
+            m.frames_per_s,
+            if m.stage2_allocs_per_frame < 0 {
+                "n/a (counter not installed)".to_string()
+            } else {
+                m.stage2_allocs_per_frame.to_string()
+            },
+        )
+        .unwrap();
+        writeln!(
+            out,
+            "dispatch queue loads (min..max): {}..{}",
             self.dispatch_queue_loads.iter().min().copied().unwrap_or(0),
             self.dispatch_queue_loads.iter().max().copied().unwrap_or(0),
         )
@@ -160,7 +143,7 @@ impl SortBenchReport {
     }
 
     /// Checks a serialized `BENCH_sort.json` payload for well-formedness:
-    /// the required keys and both mode records must be present. Used by
+    /// the required keys and the key-sorted record must be present. Used by
     /// the CI smoke run.
     pub fn validate_json(json: &str) -> Result<(), String> {
         for key in [
@@ -170,7 +153,6 @@ impl SortBenchReport {
             "\"pairs\"",
             "\"sort_ops\"",
             "\"mode\": \"key_sorted\"",
-            "\"mode\": \"legacy_per_tile\"",
             "\"stage2_ms\"",
             "\"frames_per_s\"",
             "\"stage2_allocs_per_frame\"",
@@ -193,10 +175,9 @@ fn counter_active() -> bool {
     allocation_count() > before
 }
 
-/// Measures one Stage-2 mode: mean Stage-2 wall, mean full-frame wall, and
-/// steady-state Stage-2 allocations on the final frame.
-fn measure_mode(
-    mode: Stage2Mode,
+/// Measures the key-sorted Stage 2: mean Stage-2 wall, mean full-frame
+/// wall, and steady-state Stage-2 allocations on the final frame.
+fn measure(
     splats: &[Splat2D],
     scene: &gaurast_scene::GaussianScene,
     camera: &Camera,
@@ -205,13 +186,11 @@ fn measure_mode(
     count_allocs: bool,
 ) -> ModeReport {
     let pool = WorkerPool::new(workers);
-    let cfg = RenderConfig::default()
-        .with_workers(workers)
-        .with_stage2(mode);
+    let cfg = RenderConfig::default().with_workers(workers);
     let mut arena = FrameArena::new();
 
     let bin = |splats: Vec<Splat2D>, arena: &mut FrameArena| {
-        mode.bin(splats, camera.width(), camera.height(), 16, arena, &pool)
+        bin_splats_pooled(splats, camera.width(), camera.height(), 16, arena, &pool)
     };
 
     // Warm-up sizes the arena; the timed loop is the steady state.
@@ -244,7 +223,6 @@ fn measure_mode(
     let full_frame_s = started.elapsed().as_secs_f64() / f64::from(frames);
 
     ModeReport {
-        mode,
         stage2_ms: stage2_s / f64::from(frames) * 1e3,
         full_frame_ms: full_frame_s * 1e3,
         frames_per_s: 1.0 / full_frame_s.max(1e-12),
@@ -252,7 +230,7 @@ fn measure_mode(
     }
 }
 
-/// Runs the full Stage-2 A/B measurement on a deterministic synthetic
+/// Runs the Stage-2 measurement on a deterministic synthetic
 /// scene and returns the report. `quick` shrinks the scene and frame count
 /// for smoke runs.
 pub fn run(quick: bool) -> SortBenchReport {
@@ -279,40 +257,14 @@ pub fn run(quick: bool) -> SortBenchReport {
     let pre = preprocess_pooled(&scene, &camera, &pool);
     let count_allocs = counter_active();
 
-    let keyed = measure_mode(
-        Stage2Mode::KeySorted,
-        &pre.splats,
-        &scene,
-        &camera,
-        workers,
-        frames,
-        count_allocs,
-    );
-    let legacy = measure_mode(
-        Stage2Mode::LegacyPerTile,
-        &pre.splats,
-        &scene,
-        &camera,
-        workers,
-        frames,
-        count_allocs,
-    );
-
-    // Bit-identity of the two paths is asserted here too — the artifact
-    // never reports a speedup over a divergent baseline.
-    let mut arena = FrameArena::new();
-    let keyed_w = bin_splats_pooled(pre.splats.clone(), width, height, 16, &mut arena, &pool);
-    let legacy_w = bin_splats_legacy(
+    let keyed = measure(&pre.splats, &scene, &camera, workers, frames, count_allocs);
+    let keyed_w = bin_splats_pooled(
         pre.splats.clone(),
         width,
         height,
         16,
         &mut FrameArena::new(),
         &pool,
-    );
-    assert!(
-        keyed_w == legacy_w,
-        "key-sorted Stage 2 diverged from legacy"
     );
 
     SortBenchReport {
@@ -324,7 +276,6 @@ pub fn run(quick: bool) -> SortBenchReport {
         pairs: keyed_w.total_pairs(),
         sort_ops: gaurast_gpu::device::orin_nx().sort_ops(keyed_w.total_pairs()),
         keyed,
-        legacy,
         dispatch_queue_loads: csr_queue_loads(keyed_w.offsets(), 15),
     }
 }

@@ -114,8 +114,7 @@ pub struct ReferencePass {
     /// Host wall-clock seconds the reference Stage-3 pass took.
     pub wall_s: f64,
     /// Host wall-clock seconds Stage 2 took (key emission + radix sort +
-    /// CSR assembly, or the legacy per-tile binning/sort when the escape
-    /// hatch is on).
+    /// CSR assembly).
     pub sort_wall_s: f64,
     /// The reference image, present when the session retains images and a
     /// requested backend reports the reference image (the enhanced

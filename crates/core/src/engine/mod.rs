@@ -46,12 +46,13 @@ use crate::backend::{
 use crate::report::{fmt_f, fmt_ms, TextTable};
 use gaurast_gpu::CudaGpuModel;
 use gaurast_hw::RasterizerConfig;
-use gaurast_render::pipeline::{PreprocessStats, Stage2Mode};
+use gaurast_render::pipeline::PreprocessStats;
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::preprocess::{
     preprocess_prepared_pooled_level, preprocess_prepared_visible_pooled_level,
 };
 use gaurast_render::rasterize::rasterize_with_level;
+use gaurast_render::tile::bin_splats_pooled;
 use gaurast_render::{FrameArena, Framebuffer, RasterWorkload, SimdLevel, VectorMode};
 use gaurast_scene::{Camera, GaussianScene, PreparedScene, VisibilityCache};
 use gaurast_sched::{replay, FrameCost, SequenceReport};
@@ -191,10 +192,6 @@ pub struct Engine {
     /// Whether Stage 1 runs over a frustum-culled visible set (output is
     /// bit-identical either way; culling only trades wall-clock time).
     pub(crate) culling: bool,
-    /// Stage-2 implementation of the reference pass (key-sorted radix/CSR
-    /// by default; output is bit-identical either way — see
-    /// [`Stage2Mode`]).
-    pub(crate) stage2: Stage2Mode,
     /// Requested vector data path for the reference pass (output is
     /// bit-identical at every level — see [`VectorMode`]).
     pub(crate) vector_mode: VectorMode,
@@ -226,7 +223,6 @@ impl Clone for Engine {
             self.host.clone(),
             self.kind,
             self.culling,
-            self.stage2,
             self.vector_mode,
             Arc::clone(&self.vis_cache),
         )
@@ -244,7 +240,6 @@ impl Engine {
         host: CudaGpuModel,
         kind: BackendKind,
         culling: bool,
-        stage2: Stage2Mode,
         vector_mode: VectorMode,
         vis_cache: Arc<VisibilityCache>,
     ) -> Self {
@@ -258,7 +253,6 @@ impl Engine {
             host,
             kind,
             culling,
-            stage2,
             vector_mode,
             level: vector_mode.resolve(),
             vis_cache,
@@ -319,14 +313,6 @@ impl Engine {
     /// [`EngineBuilder::frustum_culling`]).
     pub fn frustum_culling(&self) -> bool {
         self.culling
-    }
-
-    /// The Stage-2 implementation the reference pass runs (see
-    /// [`EngineBuilder::stage2_mode`]). Frames are bit-identical in both
-    /// modes; the knob exists as a one-release escape hatch and A/B
-    /// baseline for the key-sorted path.
-    pub fn stage2_mode(&self) -> Stage2Mode {
-        self.stage2
     }
 
     /// The requested vector data path for the reference pass (see
@@ -408,15 +394,15 @@ impl Engine {
             )
         };
         let pre_stats = PreprocessStats::from(&pre);
-        // Stage 2 out of the session arena: packed (tile, depth) keys +
-        // one parallel radix sort into the flat CSR workload (or the
-        // legacy per-tile path behind the escape hatch). Timed separately
-        // — the `sort` split every report carries.
+        // Stage 2 out of the session arena: pooled packed (tile, depth)
+        // key emission + one parallel radix sort into the flat CSR
+        // workload. Timed separately — the `sort` split every report
+        // carries.
         // gaurast-check: allow(nondet): wall-clock stage timing. The
         // measured duration is reported *alongside* the frame, never fed
         // back into it — the image is a pure function of scene + camera.
         let sort_started = Instant::now();
-        let mut workload = self.stage2.bin(
+        let mut workload = bin_splats_pooled(
             pre.splats,
             camera.width(),
             camera.height(),
@@ -891,6 +877,8 @@ mod tests {
         assert_eq!(a.stats.blend_work, b.stats.blend_work);
         assert_eq!(a.stats.pairs, b.stats.pairs);
         assert_eq!(a.stats.blends_committed, b.stats.blends_committed);
+        // Both frames carry the measured Stage-2 wall split.
+        assert!(a.stats.sort_s > 0.0 && b.stats.sort_s > 0.0);
     }
 
     #[test]
@@ -908,39 +896,6 @@ mod tests {
         // A sequence over one camera keeps hitting the same set.
         let out = e.render_sequence(&vec![cam; 4]);
         assert!(out.reports.iter().all(|r| r.stats.cull.cache_hit));
-    }
-
-    #[test]
-    fn stage2_modes_render_bit_identical_frames() {
-        let scene = SceneParams::new(1200).seed(13).generate().unwrap();
-        let mut keyed = EngineBuilder::new(scene)
-            .backend(BackendKind::Software)
-            .image_policy(ImagePolicy::Retain)
-            .build()
-            .unwrap();
-        assert_eq!(keyed.stage2_mode(), Stage2Mode::KeySorted, "default");
-        let mut legacy = EngineBuilder::shared(Arc::clone(keyed.prepared()))
-            .backend(BackendKind::Software)
-            .image_policy(ImagePolicy::Retain)
-            .stage2_mode(Stage2Mode::LegacyPerTile)
-            .build()
-            .unwrap();
-        assert_eq!(legacy.stage2_mode(), Stage2Mode::LegacyPerTile);
-        let cam = camera(96, 64);
-        let a = keyed.render_frame(&cam);
-        let b = legacy.render_frame(&cam);
-        assert_eq!(
-            a.image.unwrap().mean_abs_diff(&b.image.unwrap()),
-            0.0,
-            "stage-2 modes must render bit-identical frames"
-        );
-        assert_eq!(a.stats.blend_work, b.stats.blend_work);
-        assert_eq!(a.stats.pairs, b.stats.pairs);
-        assert_eq!(a.ops, b.ops);
-        // Both frames carry the measured Stage-2 wall split.
-        assert!(a.stats.sort_s > 0.0 && b.stats.sort_s > 0.0);
-        // The mode survives cloning (fresh session, same policy).
-        assert_eq!(legacy.clone().stage2_mode(), Stage2Mode::LegacyPerTile);
     }
 
     #[test]

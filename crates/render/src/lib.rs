@@ -26,16 +26,15 @@
 //! `gaurast-gpu` CUDA model), guaranteeing both see identical work.
 //!
 //! The pipeline is data-parallel *within* a frame: Stage 1 runs in fixed
-//! Gaussian chunks, Stage 2's radix sort in fixed key chunks
+//! Gaussian chunks, Stage 2's key emission in fixed splat chunks
+//! ([`tile::EMIT_CHUNK`]) and its radix sort in fixed key chunks
 //! ([`sort::RADIX_CHUNK`]), and Stage 3 as independent per-tile jobs (each
 //! tile reads its sorted CSR range and writes its own disjoint framebuffer
 //! view) over a persistent [`pool::WorkerPool`] whose threads are spawned
-//! once and parked between dispatches. The stages themselves are scheduled
-//! by a static frame [`graph`] that overlaps Stage-1 chunks with Stage-2
-//! histogramming where the dependency edges allow. Output is bit-identical
-//! for every worker count and either graph mode — `workers = 1` is exactly
-//! the serial reference path; see [`pool`] for the determinism recipe and
-//! [`pipeline::RenderConfig::workers`] for the knob.
+//! once and parked between dispatches. The stages run one after another.
+//! Output is bit-identical for every worker count — `workers = 1` is
+//! exactly the serial reference path; see [`pool`] for the determinism
+//! recipe and [`pipeline::RenderConfig::workers`] for the knob.
 //!
 //! # Example
 //!
@@ -55,14 +54,14 @@
 #![deny(missing_debug_implementations)]
 // The unsafe in this crate is confined to the disjoint-access handouts:
 // the worker pool's job-slot publication (`pool`), the sorter's scatter
-// ranges (`sort`), and the frame runner's per-chunk slots and key ranges
-// (`pipeline`); every unsafe operation must sit in an explicit block with
-// its own SAFETY comment (enforced by `gaurast-check lint`).
+// ranges (`sort`), Stage 2's per-chunk key-emission ranges (`tile`), and
+// the SIMD kernels (`simd`); every unsafe operation must sit in an
+// explicit block with its own SAFETY comment (enforced by
+// `gaurast-check lint`).
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod compose;
 mod framebuffer;
-pub mod graph;
 pub mod ops;
 pub mod pipeline;
 pub mod pool;

@@ -314,9 +314,8 @@ fn stitch(chunks: Vec<PreprocessOutput>) -> PreprocessOutput {
 }
 
 /// The Stage-1 loop over one contiguous Gaussian index range (see
-/// [`preprocess_over`]). Exposed crate-wide as the per-chunk job of the
-/// frame graph's Stage-1 node ([`crate::pipeline::render_with_pool`]).
-pub(crate) fn preprocess_range_level(
+/// [`preprocess_over`]) — the per-chunk job of [`preprocess_chunked`].
+fn preprocess_range_level(
     scene: &GaussianScene,
     camera: &Camera,
     covariance_of: &(impl Fn(usize, &gaurast_scene::Gaussian3) -> Mat3 + Sync),

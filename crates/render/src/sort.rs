@@ -16,9 +16,7 @@
 //!   bit-identical at every worker count.
 //!
 //! The comparison-based helpers ([`sort_indices_by_depth`] and friends)
-//! remain as the legacy Stage-2 escape hatch
-//! ([`crate::pipeline::Stage2Mode::LegacyPerTile`]) and as the oracle the
-//! radix path is proptested against.
+//! order whole splat sets by depth outside the per-frame path.
 
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
@@ -94,15 +92,18 @@ pub struct RadixSorter {
     hist: Vec<u32>,
 }
 
-/// Raw-pointer pair handing scatter jobs disjoint write slots of the
-/// output buffers (see the safety argument in [`RadixSorter::sort_pairs`]).
-struct ScatterOut {
-    keys: *mut u64,
-    vals: *mut u32,
+/// Raw-pointer pair handing pool jobs disjoint write slots of a
+/// `(key, value)` buffer pair: the radix scatter ranges (see
+/// [`RadixSorter::sort_pairs`]) and the Stage-2 key-emission ranges
+/// ([`crate::tile::bin_splats_pooled`]).
+pub(crate) struct ScatterOut {
+    pub(crate) keys: *mut u64,
+    pub(crate) vals: *mut u32,
 }
 // SAFETY: shared across workers only to write disjoint index sets — the
-// placement table assigns every (chunk, bucket) a contiguous output range
-// no other chunk receives, and each chunk job writes only its own ranges.
+// radix placement table assigns every (chunk, bucket) a contiguous output
+// range no other chunk receives, the emission prefix sum assigns every
+// splat chunk its own key range, and each job writes only its own ranges.
 unsafe impl Sync for ScatterOut {}
 
 /// Raw pointer into the per-chunk histogram table; chunk job `c`

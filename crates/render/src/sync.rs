@@ -40,7 +40,7 @@
 //! # Race instrumentation
 //!
 //! The renderer's `unsafe` disjoint-write sites (radix scatter ranges,
-//! pool job-slot publication, frame-graph `UnsafeCell` slots, framebuffer
+//! pool job-slot publication, Stage-2 key-emission ranges, framebuffer
 //! tile rows) are annotated with three macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker

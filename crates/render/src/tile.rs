@@ -4,16 +4,11 @@
 //! `(tile, depth)` key per tile its 3σ bounding square overlaps
 //! ([`crate::sort::pack_key`]), radix-sorts the whole key array once, and
 //! reads the result back as a flat CSR workload. This module reproduces
-//! that exactly and emits the [`RasterWorkload`]; the historical
-//! per-tile-list + comparison-sort path survives as
-//! [`bin_splats_legacy`] (the [`Stage2Mode::LegacyPerTile`] escape hatch
-//! and the proptest oracle).
-//!
-//! [`Stage2Mode::LegacyPerTile`]: crate::pipeline::Stage2Mode::LegacyPerTile
+//! that exactly and emits the [`RasterWorkload`].
 
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
-use crate::sort::{key_tile, pack_key, sort_indices_by_depth};
+use crate::sort::{key_tile, pack_key, ScatterOut};
 use crate::workload::{FrameArena, RasterWorkload};
 use gaurast_math::{Aabb2, Vec2};
 
@@ -79,6 +74,33 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
     )
 }
 
+/// Splats per Stage-2 key-emission chunk. The chunking is *fixed-size*,
+/// like [`crate::preprocess::PREPROCESS_CHUNK`] and
+/// [`crate::sort::RADIX_CHUNK`]: each chunk's key range depends only on
+/// the data, never on the worker count, so the emitted buffers are
+/// identical at every pool width.
+pub const EMIT_CHUNK: usize = 1024;
+
+/// Clears `buf` and zero-fills it to `len` elements. When it must grow,
+/// capacity goes to the next power of two, as element-wise pushes grow
+/// it: a buffer sized exactly to one frame's pairs would be reallocated on
+/// the next frame with more, and each reallocation strands the old block
+/// in the allocator (peak RSS rises by about that much).
+fn zero_fill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    buf.clear();
+    if buf.capacity() < len {
+        buf.reserve(len.next_power_of_two());
+    }
+    buf.resize(len, T::default());
+}
+
+/// Number of `(tile, splat)` pairs `splat` emits: its covered-tile count.
+fn covered_tiles(splat: &Splat2D, width: u32, height: u32, tile_size: u32) -> usize {
+    tile_range(splat, width, height, tile_size).map_or(0, |(x0, y0, x1, y1)| {
+        (x1 - x0 + 1) as usize * (y1 - y0 + 1) as usize
+    })
+}
+
 /// The key-sorted Stage-2 hot path: emits one packed `(tile, depth)` key
 /// per covered tile, radix-sorts the key/value pairs in one pass over
 /// `pool` ([`crate::sort::RadixSorter`]), and builds the CSR offset table
@@ -87,10 +109,14 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
 /// workers are parked, not respawned, between `run`s); give the buffers
 /// back with [`RasterWorkload::recycle_into`].
 ///
-/// The output is **bit-identical** to [`bin_splats_legacy`] for every
-/// worker count: the stable radix order on
-/// [`crate::sort::depth_key_bits`] equals the stable comparison order on
-/// [`f32::total_cmp`], key for key.
+/// Key emission runs over `pool` in three steps: a pooled COUNT of each
+/// [`EMIT_CHUNK`]-sized splat chunk's pairs, a PREFIX sum turning the
+/// counts into disjoint per-chunk key ranges, and a pooled EMIT writing
+/// each chunk's pairs into its range. Concatenated, the ranges hold the
+/// pairs in splat submission order — exactly a serial emission — so the
+/// output is **bit-identical** for every worker count, and each tile's
+/// run equals a stable per-tile comparison sort on [`f32::total_cmp`]
+/// ([`crate::sort::depth_key_bits`] preserves that order key for key).
 ///
 /// # Panics
 /// Panics when `tile_size` is zero or the image is empty.
@@ -107,23 +133,83 @@ pub fn bin_splats_pooled(
     let tiles_x = width.div_ceil(tile_size);
     let tiles_y = height.div_ceil(tile_size);
     let tile_count = (tiles_x * tiles_y) as usize;
+    let n_chunks = splats.len().div_ceil(EMIT_CHUNK);
+    // Chunk c: its first splat index and its splats.
+    let chunk = |c: usize| {
+        let first = c * EMIT_CHUNK;
+        (
+            first,
+            &splats[first..(first + EMIT_CHUNK).min(splats.len())],
+        )
+    };
 
-    // Key emission: one (packed key, splat index) pair per covered tile,
-    // in splat submission order — the order stability preserves for equal
-    // depths.
+    // COUNT: chunk c's pair total lands in slot c + 1 of the base table.
+    let bases = &mut arena.chunk_bases;
+    bases.clear();
+    bases.resize(n_chunks + 1, 0);
+    pool.run_mut(&mut bases[1..], |c, count| {
+        *count = chunk(c)
+            .1
+            .iter()
+            .map(|s| covered_tiles(s, width, height, tile_size))
+            .sum();
+    });
+    // PREFIX: running sums make chunk c's key range
+    // `bases[c]..bases[c + 1]`.
+    let mut total = 0;
+    for base in bases.iter_mut() {
+        total += *base;
+        *base = total;
+    }
+    let bases = &*bases;
+
+    // EMIT: one (packed key, splat index) pair per covered tile, splat by
+    // splat in submission order — the order stability preserves for
+    // equal depths.
     let mut keys = std::mem::take(&mut arena.keys);
     let mut values = std::mem::take(&mut arena.values);
-    keys.clear();
-    values.clear();
-    for (i, s) in splats.iter().enumerate() {
-        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) {
-            for ty in y0..=y1 {
-                for tx in x0..=x1 {
-                    keys.push(pack_key(ty * tiles_x + tx, s.depth));
-                    values.push(i as u32);
+    zero_fill(&mut keys, total);
+    zero_fill(&mut values, total);
+    {
+        let out = ScatterOut {
+            keys: keys.as_mut_ptr(),
+            vals: values.as_mut_ptr(),
+        };
+        let out = &out;
+        pool.run(n_chunks, |c| {
+            let (start, end) = (bases[c], bases[c + 1]);
+            let len = end - start;
+            let (keys, vals) = crate::race_region!("per-chunk emission range", {
+                crate::race_write!(out.keys.wrapping_add(start), len);
+                crate::race_write!(out.vals.wrapping_add(start), len);
+                // SAFETY: PREFIX gave chunk c the range
+                // `bases[c]..bases[c + 1]`, disjoint from every other
+                // chunk's and inside both buffers (their length is
+                // `total`, the last base); `run` yields each chunk index
+                // exactly once, so these views never alias.
+                unsafe {
+                    (
+                        std::slice::from_raw_parts_mut(out.keys.add(start), len),
+                        std::slice::from_raw_parts_mut(out.vals.add(start), len),
+                    )
+                }
+            });
+            let mut pos = 0;
+            let (first, chunk_splats) = chunk(c);
+            for (i, s) in (first..).zip(chunk_splats) {
+                let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) else {
+                    continue;
+                };
+                for ty in y0..=y1 {
+                    for tx in x0..=x1 {
+                        keys[pos] = pack_key(ty * tiles_x + tx, s.depth);
+                        vals[pos] = i as u32;
+                        pos += 1;
+                    }
                 }
             }
-        }
+            debug_assert_eq!(pos, len, "COUNT/EMIT disagree on chunk {c}");
+        });
     }
 
     // One stable LSD radix sort orders every tile's run front-to-back.
@@ -136,72 +222,13 @@ pub fn bin_splats_pooled(
     for &k in &keys {
         offsets[key_tile(k) as usize + 1] += 1;
     }
-    for i in 0..tile_count {
-        offsets[i + 1] += offsets[i];
+    let mut running = 0;
+    for offset in &mut offsets {
+        running += *offset;
+        *offset = running;
     }
 
     arena.keys = keys;
-    RasterWorkload::from_csr(
-        width,
-        height,
-        tile_size,
-        splats,
-        values,
-        offsets,
-        std::mem::take(&mut arena.processed),
-        std::mem::take(&mut arena.soa),
-    )
-}
-
-/// The historical Stage-2 path, kept for one release as the
-/// [`Stage2Mode::LegacyPerTile`](crate::pipeline::Stage2Mode) escape hatch
-/// and as the proptest oracle: bins splat indices into per-tile `Vec`s in
-/// submission order, stably comparison-sorts each list by depth
-/// ([`sort_indices_by_depth`]) — one pool job per tile, exactly where the
-/// pre-CSR pipeline ran its in-job sorts — and flattens the lists into the
-/// same CSR workload the key-sorted path produces.
-///
-/// # Panics
-/// Panics when `tile_size` is zero or the image is empty.
-pub fn bin_splats_legacy(
-    splats: Vec<Splat2D>,
-    width: u32,
-    height: u32,
-    tile_size: u32,
-    arena: &mut FrameArena,
-    pool: &WorkerPool,
-) -> RasterWorkload {
-    assert!(tile_size > 0 && width > 0 && height > 0);
-    let tiles_x = width.div_ceil(tile_size);
-    let tiles_y = height.div_ceil(tile_size);
-    let tile_count = (tiles_x * tiles_y) as usize;
-
-    let mut lists = std::mem::take(&mut arena.lists);
-    lists.resize(tile_count, Vec::new());
-    for list in &mut lists {
-        list.clear();
-    }
-    for (i, s) in splats.iter().enumerate() {
-        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) {
-            for ty in y0..=y1 {
-                for tx in x0..=x1 {
-                    lists[(ty * tiles_x + tx) as usize].push(i as u32);
-                }
-            }
-        }
-    }
-    pool.run_mut(&mut lists, |_, list| sort_indices_by_depth(list, &splats));
-
-    let mut values = std::mem::take(&mut arena.values);
-    let mut offsets = std::mem::take(&mut arena.offsets);
-    values.clear();
-    offsets.clear();
-    offsets.push(0);
-    for list in &lists {
-        values.extend_from_slice(list);
-        offsets.push(values.len() as u32);
-    }
-    arena.lists = lists;
     RasterWorkload::from_csr(
         width,
         height,
@@ -273,6 +300,8 @@ mod tests {
 
     #[test]
     fn keyed_path_matches_legacy_path() {
+        // The legacy Stage 2: per-tile index lists in submission order,
+        // stably depth-sorted by `RasterWorkload::new`.
         let splats: Vec<Splat2D> = (0..60)
             .map(|i| {
                 splat_at(
@@ -284,14 +313,24 @@ mod tests {
                 )
             })
             .collect();
-        let keyed = bin_splats(splats.clone(), 64, 64, 16);
-        let legacy = bin_splats_legacy(
+        let mut lists = vec![Vec::new(); 16];
+        for (i, s) in splats.iter().enumerate() {
+            if let Some((x0, y0, x1, y1)) = tile_range(s, 64, 64, 16) {
+                for ty in y0..=y1 {
+                    for tx in x0..=x1 {
+                        lists[(ty * 4 + tx) as usize].push(i as u32);
+                    }
+                }
+            }
+        }
+        let legacy = RasterWorkload::new(64, 64, 16, splats.clone(), lists);
+        let keyed = bin_splats_pooled(
             splats,
             64,
             64,
             16,
             &mut FrameArena::new(),
-            &WorkerPool::serial(),
+            &WorkerPool::new(3),
         );
         assert_eq!(keyed, legacy);
     }

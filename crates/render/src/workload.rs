@@ -522,9 +522,8 @@ impl TileRef<'_> {
 /// processed-count buffers a frame needs, recycled across frames so
 /// steady-state Stage 2 allocates nothing.
 ///
-/// Thread one arena through [`crate::tile::bin_splats_pooled`] (or the
-/// legacy [`crate::tile::bin_splats_legacy`]) and give the buffers back
-/// with [`RasterWorkload::recycle_into`] after the frame.
+/// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
+/// the buffers back with [`RasterWorkload::recycle_into`] after the frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
     /// Packed `(tile, depth)` sort keys ([`crate::sort::pack_key`]); only
@@ -538,13 +537,11 @@ pub struct FrameArena {
     pub(crate) sorter: RadixSorter,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Legacy-path per-tile lists ([`crate::tile::bin_splats_legacy`]).
-    pub(crate) lists: Vec<Vec<u32>>,
+    /// Per-chunk key counts, prefix-summed in place into each emission
+    /// chunk's key range ([`crate::tile::EMIT_CHUNK`]).
+    pub(crate) chunk_bases: Vec<usize>,
     /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]).
     pub(crate) soa: SplatSoA,
-    /// Cached frame-graph execution plan, reused while the chunk count and
-    /// graph mode stay put ([`crate::graph::PlanCache`]).
-    pub(crate) plan: crate::graph::PlanCache,
 }
 
 impl FrameArena {

@@ -1,16 +1,44 @@
-//! Key-sorted Stage-2 equivalence suite: the packed-key radix/CSR path
-//! must be **bit-identical** to the legacy per-tile comparison-sort path —
-//! workloads, processed counts, statistics and rendered images — for
-//! random scenes, cameras, tie-heavy depth distributions, boundary-exact
-//! tile boxes, and every worker count.
+//! Key-sorted Stage-2 equivalence suite: the pooled packed-key
+//! radix/CSR path must be **bit-identical** to the legacy per-tile
+//! comparison-sort algorithm (kept here as a test oracle) — workloads,
+//! processed counts, statistics and rendered images — for random scenes,
+//! cameras, tie-heavy depth distributions, boundary-exact tile boxes,
+//! multi-chunk key emission, and every worker count.
 
 use gaurast_math::{Vec2, Vec3};
-use gaurast_render::pipeline::{render, RenderConfig, Stage2Mode};
+use gaurast_render::pipeline::{render, PreprocessStats, RenderConfig};
+use gaurast_render::preprocess::preprocess;
+use gaurast_render::rasterize::rasterize;
 use gaurast_render::sort::{depth_key_bits, is_depth_sorted, pack_key, RadixSorter};
-use gaurast_render::tile::{bin_splats_legacy, bin_splats_pooled};
-use gaurast_render::{FrameArena, Splat2D, WorkerPool};
+use gaurast_render::tile::{bin_splats_pooled, tile_range, EMIT_CHUNK};
+use gaurast_render::{FrameArena, RasterWorkload, Splat2D, WorkerPool};
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
+
+/// The legacy per-tile Stage 2 as a test oracle: bin splat indices into
+/// per-tile lists in submission order, then stably sort each list by
+/// depth under [`f32::total_cmp`].
+fn per_tile_oracle(splats: Vec<Splat2D>, width: u32, height: u32, ts: u32) -> RasterWorkload {
+    let tiles_x = width.div_ceil(ts);
+    let mut lists = vec![Vec::new(); (tiles_x * height.div_ceil(ts)) as usize];
+    for (i, s) in splats.iter().enumerate() {
+        if let Some((x0, y0, x1, y1)) = tile_range(s, width, height, ts) {
+            for ty in y0..=y1 {
+                for tx in x0..=x1 {
+                    lists[(ty * tiles_x + tx) as usize].push(i as u32);
+                }
+            }
+        }
+    }
+    for list in &mut lists {
+        list.sort_by(|&a, &b| {
+            splats[a as usize]
+                .depth
+                .total_cmp(&splats[b as usize].depth)
+        });
+    }
+    RasterWorkload::new(width, height, ts, splats, lists)
+}
 
 /// Random splats with deliberately nasty Stage-2 shapes: quantized depths
 /// (many exact ties), radii that can land the 3σ box exactly on tile
@@ -73,9 +101,10 @@ fn camera_strategy() -> impl Strategy<Value = Camera> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole acceptance: full pipeline, radix/CSR Stage 2 vs the
-    /// legacy escape hatch, across worker counts — image bytes, workload
-    /// (splats + CSR + processed), and every statistic must be equal.
+    /// The tentpole acceptance: the full pipeline at a random worker
+    /// count vs a serial pass over the per-tile oracle — image bytes,
+    /// workload (splats + CSR + processed), and every statistic must be
+    /// equal.
     #[test]
     fn full_pipeline_keyed_equals_legacy(
         gaussians in prop::collection::vec(gaussian_strategy(), 1..300),
@@ -83,21 +112,19 @@ proptest! {
         workers in 1usize..5,
     ) {
         let scene = GaussianScene::from_gaussians(gaussians).expect("non-empty scene");
-        let keyed_cfg = RenderConfig::default()
-            .with_workers(workers)
-            .with_stage2(Stage2Mode::KeySorted);
-        let legacy_cfg = keyed_cfg.with_stage2(Stage2Mode::LegacyPerTile);
-        let keyed = render(&scene, &camera, &keyed_cfg);
-        let legacy = render(&scene, &camera, &legacy_cfg);
-        prop_assert_eq!(&keyed.image, &legacy.image, "image planes must be bit-identical");
-        prop_assert_eq!(&keyed.workload, &legacy.workload, "workloads must be bit-identical");
-        prop_assert_eq!(keyed.preprocess, legacy.preprocess);
-        prop_assert_eq!(keyed.raster, legacy.raster);
+        let keyed = render(&scene, &camera, &RenderConfig::default().with_workers(workers));
+        let pre = preprocess(&scene, &camera);
+        prop_assert_eq!(keyed.preprocess, PreprocessStats::from(&pre));
+        let mut legacy = per_tile_oracle(pre.splats, camera.width(), camera.height(), 16);
+        let (image, raster) = rasterize(&mut legacy);
+        prop_assert_eq!(&keyed.image, &image, "image planes must be bit-identical");
+        prop_assert_eq!(&keyed.workload, &legacy, "workloads must be bit-identical");
+        prop_assert_eq!(keyed.raster, raster);
     }
 
     /// Raw-splat binning equivalence, including equal-depth stability and
     /// boundary-exact boxes: the keyed CSR table must equal the flattened,
-    /// comparison-sorted legacy lists entry for entry.
+    /// comparison-sorted oracle lists entry for entry.
     #[test]
     fn binning_keyed_equals_legacy_on_adversarial_splats(
         mut splats in prop::collection::vec(splat_strategy(), 0..120),
@@ -108,7 +135,7 @@ proptest! {
         }
         let pool = WorkerPool::new(workers);
         let keyed = bin_splats_pooled(splats.clone(), 64, 64, 16, &mut FrameArena::new(), &pool);
-        let legacy = bin_splats_legacy(splats, 64, 64, 16, &mut FrameArena::new(), &pool);
+        let legacy = per_tile_oracle(splats, 64, 64, 16);
         prop_assert_eq!(&keyed, &legacy);
         // Equal-depth runs must preserve submission order (stability):
         // within a tile, ties are ordered by ascending splat index.
@@ -185,6 +212,40 @@ proptest! {
             RadixSorter::new().sort_pairs(&mut k, &mut v, &WorkerPool::new(workers));
             let got: Vec<(u64, u32)> = k.into_iter().zip(v).collect();
             prop_assert_eq!(&got, &expected, "width {} diverged", workers);
+        }
+    }
+}
+
+/// Multi-chunk key emission: splat counts on both sides of every
+/// [`EMIT_CHUNK`] boundary, plus several full chunks, bin identically to
+/// the per-tile oracle at every width 1–8.
+#[test]
+fn emission_chunk_boundaries_match_oracle_at_widths_1_to_8() {
+    let splat = |i: usize| Splat2D {
+        mean: Vec2::new((i * 37 % 200) as f32 - 20.0, (i * 53 % 140) as f32 - 10.0),
+        conic: [0.05, 0.0, 0.05],
+        // Few distinct depths: long equal-depth runs span chunk seams.
+        depth: 0.5 + (i % 11) as f32 * 0.25,
+        color: Vec3::one(),
+        opacity: 0.6,
+        radius: (i % 23) as f32 * 0.5,
+        source: i as u32,
+    };
+    for n in [
+        0,
+        1,
+        EMIT_CHUNK - 1,
+        EMIT_CHUNK,
+        EMIT_CHUNK + 1,
+        4 * EMIT_CHUNK + 7,
+    ] {
+        let splats: Vec<Splat2D> = (0..n).map(splat).collect();
+        let oracle = per_tile_oracle(splats.clone(), 160, 112, 16);
+        for workers in 1..=8 {
+            let pool = WorkerPool::new(workers);
+            let mut arena = FrameArena::new();
+            let keyed = bin_splats_pooled(splats.clone(), 160, 112, 16, &mut arena, &pool);
+            assert_eq!(keyed, oracle, "{n} splats at width {workers}");
         }
     }
 }

@@ -209,6 +209,19 @@ pub fn from_ply(bytes: &[u8]) -> Result<GaussianScene, SceneError> {
 
     // --- Payload ---
     let stride = props.len();
+    // Size nothing from the declared count until the payload is known to
+    // hold it: memory stays bounded by the input, not by its header.
+    let remaining = bytes.len().saturating_sub(cursor.position() as usize);
+    let fits = vertex_count
+        .checked_mul(stride)
+        .and_then(|floats| floats.checked_mul(4))
+        .is_some_and(|needed| needed <= remaining);
+    if !fits {
+        return Err(bad(format!(
+            "truncated payload: {vertex_count} vertices of {stride} floats do not fit in \
+             {remaining} bytes"
+        )));
+    }
     let mut row = vec![0.0f32; stride];
     let mut buf = vec![0u8; stride * 4];
     let mut gaussians = Vec::with_capacity(vertex_count);
@@ -408,6 +421,23 @@ mod tests {
         bytes.truncate(bytes.len() - 7);
         let err = from_ply(&bytes).unwrap_err();
         assert!(err.to_string().contains("truncated"));
+    }
+
+    #[test]
+    fn inflated_vertex_count_rejected_before_allocating() {
+        // A ~400-byte header declaring 4e9 vertices: sizing the Gaussian
+        // buffer from the declared count would ask for hundreds of GB.
+        let mut header = String::from("ply\nformat binary_little_endian 1.0\n");
+        header.push_str("element vertex 4000000000\n");
+        for name in property_names(0) {
+            header.push_str(&format!("property float {name}\n"));
+        }
+        header.push_str("end_header\n");
+        let mut bytes = header.into_bytes();
+        bytes.extend_from_slice(&[0u8; 64]);
+        assert!(bytes.len() < 512, "input is {} bytes", bytes.len());
+        let err = from_ply(&bytes).unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
     }
 
     #[test]
