@@ -1,8 +1,8 @@
 //! Intra-frame scaling: one raster-heavy frame rendered with 1/2/4/8
 //! workers, plus the cost of the up-front `Framebuffer::clear` the
 //! tile-major pass performs once per frame (kept out of the per-tile hot
-//! loop — this measures what that discipline saves), plus the key-sorted
-//! Stage 2 at two widths (which also emits the machine-readable
+//! loop — this measures what that discipline saves), plus Stage 2 at
+//! two widths (which also emits the machine-readable
 //! `BENCH_sort.json` artifact).
 //!
 //! On a single-core machine the multi-worker numbers simply converge to
@@ -65,7 +65,7 @@ fn bench_frame_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-/// Stage 2: packed-key radix/CSR binning, serial and 4-wide, on one
+/// Stage 2: depth-first CSR binning, serial and 4-wide, on one
 /// preprocessed frame. Also writes the `BENCH_sort.json` perf artifact
 /// (frames/s, Stage-2 ms, steady-state allocation counts).
 fn bench_stage2_sort(c: &mut Criterion) {

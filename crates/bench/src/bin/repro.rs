@@ -207,7 +207,7 @@ fn main() {
                 section(&scaling_demo(scale));
             }
             "sort" => {
-                // Stage 2: key-sorted radix/CSR timing and steady-state
+                // Stage 2: depth-first binning timing and steady-state
                 // allocations, written as the machine-readable
                 // BENCH_sort.json artifact.
                 let text = gaurast_bench::sort_report::write_artifact(quick)

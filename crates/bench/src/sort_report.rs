@@ -1,4 +1,4 @@
-//! Stage-2 measurement harness: times the key-sorted radix/CSR path
+//! Stage-2 measurement harness: times the depth-first Stage-2 path
 //! ([`bin_splats_pooled`]) on one scene, counts steady-state Stage-2 heap
 //! allocations, and serializes the result as the machine-readable
 //! `BENCH_sort.json` artifact both `repro sort` and the `frame_scaling`
@@ -20,7 +20,8 @@ use std::time::Instant;
 /// File name of the machine-readable artifact.
 pub const BENCH_SORT_JSON: &str = "BENCH_sort.json";
 
-/// The key-sorted Stage-2 path's measurements.
+/// The Stage-2 path's measurements (the JSON record keeps its historical
+/// `"mode": "key_sorted"` name).
 #[derive(Clone, Copy, Debug)]
 pub struct ModeReport {
     /// Mean Stage-2 (binning + sort) wall time per frame, milliseconds.
@@ -32,8 +33,8 @@ pub struct ModeReport {
     /// Heap allocations per steady-state Stage-2 call (−1 when the
     /// counting allocator is not installed in this binary). The
     /// persistent `WorkerPool` parks its resident workers between `run`
-    /// calls — dispatches neither spawn nor allocate — so the key-sorted
-    /// path's zero-allocation contract holds at every width.
+    /// calls — dispatches neither spawn nor allocate — so Stage 2's
+    /// zero-allocation contract holds at every width.
     pub stage2_allocs_per_frame: i64,
 }
 
@@ -56,7 +57,7 @@ pub struct SortBenchReport {
     /// those pairs ([`gaurast_gpu::CudaGpuModel::sort_ops`], Orin NX
     /// host) — one per pair per scatter pass.
     pub sort_ops: u64,
-    /// Key-sorted radix/CSR path.
+    /// The Stage-2 path ([`bin_splats_pooled`]).
     pub keyed: ModeReport,
     /// Per-instance (splat, tile) key loads of the hardware dispatcher's
     /// round-robin schedule over the CSR offsets (15-instance scaled
@@ -175,7 +176,7 @@ fn counter_active() -> bool {
     allocation_count() > before
 }
 
-/// Measures the key-sorted Stage 2: mean Stage-2 wall, mean full-frame
+/// Measures Stage 2: mean Stage-2 wall, mean full-frame
 /// wall, and steady-state Stage-2 allocations on the final frame.
 fn measure(
     splats: &[Splat2D],

@@ -18,8 +18,9 @@
 //!   access ranges it claims to check.
 //!
 //! Every violation carries a *witness path* — the call chain from a root
-//! to the offending token, e.g.
-//! `render::tile::bin_splats_pooled → render::sort::RadixSorter::sort_pairs → Vec::with_capacity (crates/render/src/sort.rs:88)`
+//! to the offending token; a `Vec` built per splat in Stage 2's tile walk
+//! would read, e.g.,
+//! `render::tile::bin_splats_pooled → render::tile::covered_runs → Vec::with_capacity (crates/render/src/tile.rs:101)`
 //! — so a failure is a readable story, not a bare line number. The
 //! `// gaurast-check: allow(…): reason` escape hatches are honored at any
 //! depth (the graph records suppressed events separately and the report

@@ -167,6 +167,7 @@ const UBIQUITOUS_METHODS: &[&str] = &[
     "resize",
     "truncate",
     "reserve",
+    "capacity",
     "as_ref",
     "as_mut",
     "as_slice",

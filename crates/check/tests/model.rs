@@ -15,7 +15,8 @@
 //!   always joins its workers at drop (a lost wakeup shows up as a
 //!   scheduler-detected deadlock);
 //! * **disjoint scatter ranges** — the radix placement table gives every
-//!   (chunk, bucket) an output range no other chunk writes.
+//!   (chunk, bucket) an output range no other chunk writes, and Stage 2's
+//!   tile prefix gives every (chunk, tile) one.
 //!
 //! Single-dispatch pool lifecycles at width 2 (spawn → dispatch → drop)
 //! are **exhaustively** enumerated — those reports assert `exhaustive`.
@@ -34,10 +35,13 @@
 #![cfg(gaurast_model_check)]
 
 use gaurast_check::model::Model;
+use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pool::WorkerPool;
 use gaurast_render::sort::RadixSorter;
 use gaurast_render::sync::atomic::{AtomicUsize, Ordering};
 use gaurast_render::sync::thread;
+use gaurast_render::tile::{bin_splats_pooled, tile_range};
+use gaurast_render::{FrameArena, RasterWorkload, Splat2D};
 use std::sync::Arc;
 
 // Verification counters use plain `std` atomics on purpose: the scheduler
@@ -269,6 +273,57 @@ fn radix_sort_is_correct_under_interleavings() {
             assert_eq!(got, expected, "sort must be correct and stable");
         })
         .expect("histogram/prefix/scatter holds on every explored schedule");
+    assert!(report.schedules > 1);
+}
+
+#[test]
+fn depth_first_binning_is_correct_under_interleavings() {
+    // Six splats on a 2×2-tile grid at 2 workers. The depth sort is a
+    // single radix chunk (run inline), so the pool dispatches are Stage 2's
+    // COUNT and SCATTER, one slice of the depth order per worker. The
+    // depth order 3, 1, 0, 2, 4, 5 (the last four tied at depth 2) is cut
+    // into [3, 1, 0] and [2, 4, 5], so the tie run straddles the seam; and
+    // splats span several tiles, so both workers write into the same
+    // tiles' ranges.
+    let splat = |x: f32, y: f32, radius: f32, depth: f32| Splat2D {
+        mean: Vec2::new(x, y),
+        conic: [0.05, 0.0, 0.05],
+        depth,
+        color: Vec3::one(),
+        opacity: 0.6,
+        radius,
+        source: 0,
+    };
+    let splats = vec![
+        splat(16.0, 16.0, 6.0, 2.0),
+        splat(8.0, 8.0, 3.0, 1.0),
+        splat(20.0, 10.0, 5.0, 2.0),
+        splat(16.0, 24.0, 4.0, 0.5),
+        splat(24.0, 24.0, 3.0, 2.0),
+        splat(12.0, 20.0, 7.0, 2.0),
+    ];
+    // Oracle: per-tile lists in submission order, stably depth-sorted by
+    // `RasterWorkload::new`.
+    let mut lists = vec![Vec::new(); 4];
+    for (i, s) in splats.iter().enumerate() {
+        let (x0, y0, x1, y1) = tile_range(s, 32, 32, 16).expect("on-image splat");
+        for ty in y0..=y1 {
+            for tx in x0..=x1 {
+                lists[(ty * 2 + tx) as usize].push(i as u32);
+            }
+        }
+    }
+    let oracle = RasterWorkload::new(32, 32, 16, splats.clone(), lists);
+    assert!(oracle.total_pairs() > 10, "splats must share tiles");
+    let report = Model::new()
+        .max_schedules(3_000)
+        .samples(192)
+        .check(|| {
+            let pool = WorkerPool::new(2);
+            let got = bin_splats_pooled(splats.clone(), 32, 32, 16, &mut FrameArena::new(), &pool);
+            assert_eq!(got, oracle, "binning must equal the per-tile oracle");
+        })
+        .expect("count/prefix/scatter holds on every explored schedule");
     assert!(report.schedules > 1);
 }
 

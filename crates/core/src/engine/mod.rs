@@ -98,8 +98,8 @@ const MIN_STAGE_S: f64 = 1e-12;
 /// (no full-framebuffer clone per frame; the caller owns the image).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// The Stage-2 frame arena: packed-key, CSR, radix-sorter and
-    /// processed-count buffers recycled through
+    /// The Stage-2 frame arena: depth-order, tile-count, CSR,
+    /// radix-sorter and processed-count buffers recycled through
     /// [`gaurast_render::tile::bin_splats_pooled`] /
     /// [`RasterWorkload::recycle_into`], so steady-state frames run
     /// Stage 2 without allocating.
@@ -394,8 +394,8 @@ impl Engine {
             )
         };
         let pre_stats = PreprocessStats::from(&pre);
-        // Stage 2 out of the session arena: pooled packed (tile, depth)
-        // key emission + one parallel radix sort into the flat CSR
+        // Stage 2 out of the session arena: a radix sort of the splats
+        // by depth, then a pooled counting scatter into the flat CSR
         // workload. Timed separately — the `sort` split every report
         // carries.
         // gaurast-check: allow(nondet): wall-clock stage timing. The

@@ -20,12 +20,15 @@ pub const LANE_OPS_PER_BLEND: f64 = 40.0;
 /// written splat record).
 pub const BYTES_PER_GAUSSIAN_PREPROCESS: f64 = 250.0;
 
-/// Scatter passes of the Stage-2 LSD radix sort: 8-bit digits over the 32
-/// significant bits of the packed `tile << 32 | depth_bits` key (the tile
-/// half fits a handful of active digits; uniform digits are skipped). This
-/// is the sort the software reference now runs verbatim
-/// (`gaurast_render::sort::RadixSorter`), so the billed model and the
-/// measured pass agree on the algorithm — not a comparison sort.
+/// Scatter passes of the Stage-2 LSD radix sort the reference CUDA
+/// pipeline runs over one packed `tile << 32 | depth_bits` key per
+/// (splat, tile) pair: 8-bit digits over the key's 32 significant bits
+/// (the tile half fits a handful of active digits; uniform digits are
+/// skipped). The billed model keeps that pair sort. The software
+/// reference reaches the same per-tile order depth first instead
+/// (`gaurast_render::tile::bin_splats_pooled`: one radix sort of the
+/// per-splat depth keys, then a counting scatter), so its measured
+/// Stage 2 is not this pass count.
 pub const SORT_RADIX_PASSES: f64 = 4.0;
 
 /// Bytes moved per (splat, tile) pair per radix pass (8-byte key/value

@@ -38,7 +38,7 @@ pub fn issued_pairs(primitives: u32, pixels: u32) -> u64 {
 /// read directly off a CSR offset table (`tile_count + 1` entries,
 /// [`gaurast_render::RasterWorkload::offsets`]): instance `i` streams the
 /// key ranges of tiles `i, i + instances, …`. This is the load-imbalance
-/// diagnostic of the dispatcher's static schedule over the key-sorted
+/// diagnostic of the dispatcher's static schedule over the depth-sorted
 /// Stage-2 output.
 ///
 /// # Panics

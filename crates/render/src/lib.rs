@@ -8,11 +8,11 @@
 //! 1. **Preprocessing** ([`preprocess`]) — project every 3D Gaussian to a 2D
 //!    splat (EWA covariance projection), convert spherical harmonics to RGB,
 //!    compute depth;
-//! 2. **Sorting** ([`sort`], [`tile`]) — duplicate every splat into one
-//!    packed 64-bit `(tile, depth)` key per covered tile and order the
-//!    whole key array with a single stable LSD radix sort, yielding a flat
-//!    CSR workload (one value buffer + per-tile offsets) whose buffers
-//!    live in a per-session [`FrameArena`];
+//! 2. **Sorting** ([`sort`], [`tile`]) — sort the splats once by depth
+//!    with a stable LSD radix sort, then scatter that order into the tiles
+//!    each splat covers with a stable counting pass, yielding a flat CSR
+//!    workload (one value buffer + per-tile offsets, every tile's run
+//!    front to back) whose buffers live in a per-session [`FrameArena`];
 //! 3. **Gaussian rasterization** ([`rasterize`]) — per pixel, front-to-back
 //!    alpha blending of the covering splats, one job per sorted CSR range.
 //!
@@ -26,9 +26,10 @@
 //! `gaurast-gpu` CUDA model), guaranteeing both see identical work.
 //!
 //! The pipeline is data-parallel *within* a frame: Stage 1 runs in fixed
-//! Gaussian chunks, Stage 2's key emission in fixed splat chunks
-//! ([`tile::EMIT_CHUNK`]) and its radix sort in fixed key chunks
-//! ([`sort::RADIX_CHUNK`]), and Stage 3 as independent per-tile jobs (each
+//! Gaussian chunks, Stage 2's depth sort in fixed key chunks
+//! ([`sort::RADIX_CHUNK`]) and its tile count and CSR scatter in one slice
+//! of the depth order per worker (the result does not depend on the
+//! slicing), and Stage 3 as independent per-tile jobs (each
 //! tile reads its sorted CSR range and writes its own disjoint framebuffer
 //! view) over a persistent [`pool::WorkerPool`] whose threads are spawned
 //! once and parked between dispatches. The stages run one after another.
@@ -54,7 +55,7 @@
 #![deny(missing_debug_implementations)]
 // The unsafe in this crate is confined to the disjoint-access handouts:
 // the worker pool's job-slot publication (`pool`), the sorter's scatter
-// ranges (`sort`), Stage 2's per-chunk key-emission ranges (`tile`), and
+// ranges (`sort`), Stage 2's (chunk, tile) scatter slots (`tile`), and
 // the SIMD kernels (`simd`); every unsafe operation must sit in an
 // explicit block with its own SAFETY comment (enforced by
 // `gaurast-check lint`).

@@ -11,8 +11,10 @@ use crate::workload::{FrameArena, RasterWorkload};
 use crate::DEFAULT_TILE_SIZE;
 use gaurast_scene::{Camera, GaussianScene};
 
-/// The Stage-2 implementation: packed `(tile, depth)` keys, one parallel
-/// LSD radix sort, and a flat CSR workload ([`bin_splats_pooled`]).
+/// The Stage-2 implementation: [`bin_splats_pooled`], which sorts the
+/// splats once by depth and scatters that order into a flat CSR workload
+/// (per-tile lists equal to a stable sort on packed `(tile, depth)`
+/// keys).
 ///
 /// There is one implementation, so this enum has one variant, and every
 /// frame path in the workspace calls [`bin_splats_pooled`] directly. The
@@ -21,8 +23,8 @@ use gaurast_scene::{Camera, GaussianScene};
 /// together with that call.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stage2Mode {
-    /// Packed keys + radix sort into a flat CSR workload — the
-    /// architecture the hw/gscore models simulate.
+    /// The one Stage 2: [`bin_splats_pooled`]. The name is historical;
+    /// no per-pair key is built or sorted.
     #[default]
     KeySorted,
 }
@@ -48,8 +50,8 @@ pub struct RenderConfig {
     /// Tile edge in pixels (16 in the reference and in GauRast).
     pub tile_size: u32,
     /// Intra-frame worker threads: Stage 1 runs in Gaussian chunks,
-    /// Stage 2's key emission in splat chunks and its radix sort in key
-    /// chunks, and Stage 3 as per-tile jobs over a pool this wide. `0`
+    /// Stage 2's tile count and CSR scatter in one slice of the depth
+    /// order per worker, and Stage 3 as per-tile jobs over a pool this wide. `0`
     /// (the default) resolves to the `GAURAST_WORKERS` environment
     /// variable or the machine's available parallelism
     /// ([`crate::pool::resolve_workers`]); `1` is exactly the historical
@@ -161,7 +163,7 @@ pub fn render(scene: &GaussianScene, camera: &Camera, config: &RenderConfig) -> 
 /// config — a convenience over [`render_with_pool`] for callers without a
 /// long-lived pool. Recycle the workload back into the arena after the
 /// frame ([`RasterWorkload::recycle_into`]) and steady-state Stage 2 —
-/// key emission, radix sort, CSR assembly, processed counts — makes no
+/// depth sort, tile counts, CSR scatter, processed counts — makes no
 /// data-path allocations. Sessions should hold a persistent pool and call
 /// [`render_with_pool`] instead, which is also spawn-free per frame.
 pub fn render_with_arena(
@@ -181,8 +183,8 @@ pub fn render_with_arena(
 /// arena recycles every buffer).
 ///
 /// The stages run one after another, each fanned over `pool`: chunked
-/// Stage-1 preprocessing, Stage 2 ([`bin_splats_pooled`]: pooled key
-/// emission, radix sort, CSR), then per-tile Stage-3 jobs. Output is
+/// Stage-1 preprocessing, Stage 2 ([`bin_splats_pooled`]: depth sort,
+/// pooled tile count and CSR scatter), then per-tile Stage-3 jobs. Output is
 /// **bit-identical** at every worker count.
 pub fn render_with_pool(
     scene: &GaussianScene,

@@ -70,6 +70,10 @@
 //! images, op counts, and statistics are bit-identical for every worker
 //! count — and identical between a long-lived pool and a
 //! fresh-pool-per-frame, since the job boundaries never depend on either.
+//! The one exception is Stage 2's tile count and scatter
+//! ([`crate::tile::bin_splats_pooled`]), which takes one slice of the
+//! depth order per worker: its output is a unique order (depth, then
+//! submission index) that every slicing reproduces.
 //!
 //! # Example
 //! ```

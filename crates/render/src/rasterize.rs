@@ -100,8 +100,8 @@ struct TileJob<'l, 'fb> {
 /// [`rasterize`], [`rasterize_counts`], and [`rasterize_into`].
 ///
 /// Each tile is an independent job over its own depth-sorted CSR range of
-/// the workload (Stage 2 sorted every range up front via the packed-key
-/// radix sort — there is no in-job sort), rasterizing into its own
+/// the workload (Stage 2 emitted every range front to back — there is no
+/// in-job sort), rasterizing into its own
 /// disjoint framebuffer view ([`Framebuffer::tile_views_mut`]) with no
 /// locking. Jobs are fanned over `pool`; per-tile statistics and processed
 /// counts are merged in tile order on the calling thread, so every output

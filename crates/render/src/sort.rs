@@ -1,15 +1,15 @@
 //! Stage 2 — depth sorting.
 //!
 //! The reference pipeline duplicates every splat into one packed
-//! `(tile, depth)` key per covered tile and orders the whole key array with
-//! a single stable radix sort, so every tile sees its splats front-to-back.
-//! This module provides both halves of that machinery:
+//! `(tile, depth)` key per covered tile and sorts all of those keys. This
+//! reproduction sorts the splats instead, once per frame, and leaves the
+//! per-tile lists to a stable counting scatter
+//! ([`crate::tile::bin_splats_pooled`]); the lists come out the same. This
+//! module provides the sorting half:
 //!
-//! * **key packing** — [`pack_key`] builds the 64-bit sort key
-//!   `tile_id << 32 | depth_bits`, where [`depth_key_bits`] is the
-//!   monotonic ordered-`u32` mapping of the camera depth (bit-compatible
-//!   with [`f32::total_cmp`], so radix order equals comparison order
-//!   exactly);
+//! * **the depth key** — [`depth_key_bits`], the monotonic ordered-`u32`
+//!   mapping of a camera depth (bit-compatible with [`f32::total_cmp`],
+//!   so radix order equals comparison order exactly);
 //! * **the sorter** — [`RadixSorter`], a reusable least-significant-digit
 //!   radix sorter over `(u64 key, u32 value)` pairs with a serial exact
 //!   path and a [`WorkerPool`]-parallel histogram/scatter path that are
@@ -36,20 +36,6 @@ pub fn depth_key_bits(depth: f32) -> u32 {
     } else {
         b | 0x8000_0000
     }
-}
-
-/// Packs a linear tile index and a depth into the 64-bit Stage-2 sort key
-/// `tile_id << 32 | depth_bits`. Sorting the packed keys groups duplicates
-/// tile-major and orders each tile's run front-to-back in one pass.
-#[inline]
-pub fn pack_key(tile: u32, depth: f32) -> u64 {
-    (u64::from(tile) << 32) | u64::from(depth_key_bits(depth))
-}
-
-/// The linear tile index a packed key belongs to.
-#[inline]
-pub fn key_tile(key: u64) -> u32 {
-    (key >> 32) as u32
 }
 
 /// Keys per parallel radix chunk. The chunking is *fixed-size* (like
@@ -80,9 +66,9 @@ const RADIX_BUCKETS: usize = 1 << RADIX_BITS;
 ///    chunk) = original position, so every pass — and the whole sort — is
 ///    stable.
 ///
-/// Digits on which all keys agree are detected from the histogram and
-/// skipped without moving data; packed frame keys typically activate four
-/// to five of the eight passes.
+/// Digits on which all keys agree are detected up front and skipped
+/// without moving data; per-splat depth keys leave the high half uniform,
+/// so at most four of the eight passes run.
 #[derive(Clone, Debug, Default)]
 pub struct RadixSorter {
     tmp_keys: Vec<u64>,
@@ -94,23 +80,25 @@ pub struct RadixSorter {
 
 /// Raw-pointer pair handing pool jobs disjoint write slots of a
 /// `(key, value)` buffer pair: the radix scatter ranges (see
-/// [`RadixSorter::sort_pairs`]) and the Stage-2 key-emission ranges
-/// ([`crate::tile::bin_splats_pooled`]).
-pub(crate) struct ScatterOut {
-    pub(crate) keys: *mut u64,
-    pub(crate) vals: *mut u32,
+/// [`RadixSorter::sort_pairs`]).
+struct ScatterOut {
+    keys: *mut u64,
+    vals: *mut u32,
 }
 // SAFETY: shared across workers only to write disjoint index sets — the
 // radix placement table assigns every (chunk, bucket) a contiguous output
-// range no other chunk receives, the emission prefix sum assigns every
-// splat chunk its own key range, and each job writes only its own ranges.
+// range no other chunk receives, and each job writes only its own ranges.
 unsafe impl Sync for ScatterOut {}
 
-/// Raw pointer into the per-chunk histogram table; chunk job `c`
-/// exclusively owns rows `[c * RADIX_BUCKETS, (c + 1) * RADIX_BUCKETS)`.
-struct HistOut(*mut u32);
-// SAFETY: shared across workers only to hand out disjoint per-chunk rows.
-unsafe impl Sync for HistOut {}
+/// Raw pointer into a `u32` table whose pool jobs write disjoint index
+/// sets: the radix histogram (chunk job `c` exclusively owns rows
+/// `[c * RADIX_BUCKETS, (c + 1) * RADIX_BUCKETS)`) and the Stage-2 tile
+/// scatter ([`crate::tile::bin_splats_pooled`]: chunk job `c` exclusively
+/// owns its (chunk, tile) output ranges).
+pub(crate) struct U32Out(pub(crate) *mut u32);
+// SAFETY: shared across workers only to write the disjoint per-job index
+// sets above; each job writes only its own.
+unsafe impl Sync for U32Out {}
 
 impl RadixSorter {
     /// A sorter with empty scratch (buffers grow on first use and are
@@ -168,9 +156,8 @@ impl RadixSorter {
 
         // One read pass finds the bits that actually vary across keys:
         // a digit whose byte never varies needs no histogram and no
-        // scatter. Packed frame keys (narrow tile range, clustered depth
-        // exponents, zero high bytes) typically activate 4–5 of the 8
-        // digits.
+        // scatter. Per-splat depth keys (zero high half, clustered
+        // exponents) activate at most 4 of the 8 digits.
         let first = keys[0];
         let mut varying = 0u64;
         for &k in keys.iter() {
@@ -208,7 +195,7 @@ impl RadixSorter {
             hist.fill(0);
             {
                 let src = &src_keys[..];
-                let out = HistOut(hist.as_mut_ptr());
+                let out = U32Out(hist.as_mut_ptr());
                 let out = &out;
                 pool.run(chunks, |c| {
                     let h = crate::race_region!("per-chunk histogram row", {
@@ -536,13 +523,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pack_key_orders_tile_major_then_depth() {
-        assert!(pack_key(0, 9.0) < pack_key(1, 1.0), "tile dominates depth");
-        assert!(pack_key(3, 1.0) < pack_key(3, 2.0));
-        assert_eq!(key_tile(pack_key(77, 1.5)), 77);
     }
 
     #[test]

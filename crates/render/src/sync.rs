@@ -40,8 +40,8 @@
 //! # Race instrumentation
 //!
 //! The renderer's `unsafe` disjoint-write sites (radix scatter ranges,
-//! pool job-slot publication, Stage-2 key-emission ranges, framebuffer
-//! tile rows) are annotated with three macros:
+//! pool job-slot publication, Stage-2 (chunk, tile) scatter slots,
+//! framebuffer tile rows) are annotated with three macros:
 //!
 //! * [`race_region!`](crate::race_region) — a purely lexical marker
 //!   wrapping the unsafe block; the static

@@ -1,16 +1,19 @@
 //! Tile binning: assign splats to the 16×16-pixel tiles they may touch.
 //!
 //! The reference rasterizer duplicates each splat into one packed
-//! `(tile, depth)` key per tile its 3σ bounding square overlaps
-//! ([`crate::sort::pack_key`]), radix-sorts the whole key array once, and
-//! reads the result back as a flat CSR workload. This module reproduces
-//! that exactly and emits the [`RasterWorkload`].
+//! `(tile, depth)` key per tile its 3σ bounding square overlaps and
+//! radix-sorts all of those keys. This module produces the same per-tile
+//! lists depth first: it sorts the splats once by depth, then scatters
+//! that order into tile ranges with a stable counting pass
+//! ([`bin_splats_pooled`]), so no key is built or sorted per pair. The
+//! result is the flat CSR [`RasterWorkload`].
 
 use crate::pool::WorkerPool;
 use crate::preprocess::Splat2D;
-use crate::sort::{key_tile, pack_key, ScatterOut};
+use crate::sort::{depth_key_bits, U32Out};
 use crate::workload::{FrameArena, RasterWorkload};
 use gaurast_math::{Aabb2, Vec2};
+use std::ops::Range;
 
 /// Tile index range `(x0, y0, x1, y1)` (inclusive bounds) overlapped by a
 /// splat's 3σ square, or `None` when it misses the image entirely.
@@ -53,13 +56,12 @@ pub fn tile_range(
     Some((x0, y0, x1e - 1, y1e - 1))
 }
 
-/// Bins depth-sortable splats into a CSR workload through the key-sorted
-/// path with a fresh arena and the serial pool — the convenience entry for
-/// tests and one-off frames.
+/// Bins depth-sortable splats into a CSR workload through
+/// [`bin_splats_pooled`] with a fresh arena and the serial pool — the
+/// convenience entry for tests and one-off frames.
 ///
-/// Each tile's CSR range is sorted front-to-back. The input order of
-/// `splats` is irrelevant; determinism comes from the stable radix sort on
-/// packed `(tile, depth)` keys.
+/// Each tile's CSR range is sorted front-to-back, equal depths in
+/// submission order.
 ///
 /// # Panics
 /// Panics when `tile_size` is zero or the image is empty.
@@ -74,13 +76,6 @@ pub fn bin_splats(splats: Vec<Splat2D>, width: u32, height: u32, tile_size: u32)
     )
 }
 
-/// Splats per Stage-2 key-emission chunk. The chunking is *fixed-size*,
-/// like [`crate::preprocess::PREPROCESS_CHUNK`] and
-/// [`crate::sort::RADIX_CHUNK`]: each chunk's key range depends only on
-/// the data, never on the worker count, so the emitted buffers are
-/// identical at every pool width.
-pub const EMIT_CHUNK: usize = 1024;
-
 /// Clears `buf` and zero-fills it to `len` elements. When it must grow,
 /// capacity goes to the next power of two, as element-wise pushes grow
 /// it: a buffer sized exactly to one frame's pairs would be reallocated on
@@ -94,32 +89,86 @@ fn zero_fill<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
     buf.resize(len, T::default());
 }
 
-/// Number of `(tile, splat)` pairs `splat` emits: its covered-tile count.
-fn covered_tiles(splat: &Splat2D, width: u32, height: u32, tile_size: u32) -> usize {
-    tile_range(splat, width, height, tile_size).map_or(0, |(x0, y0, x1, y1)| {
-        (x1 - x0 + 1) as usize * (y1 - y0 + 1) as usize
-    })
+/// The linear indices of the tiles `splat` covers, one contiguous range
+/// per tile row (empty when the splat is binned nowhere).
+fn covered_runs(
+    splat: &Splat2D,
+    width: u32,
+    height: u32,
+    tile_size: u32,
+) -> impl Iterator<Item = Range<usize>> {
+    let tiles_x = width.div_ceil(tile_size) as usize;
+    tile_range(splat, width, height, tile_size)
+        .into_iter()
+        .flat_map(move |(x0, y0, x1, y1)| {
+            (y0 as usize..=y1 as usize).map(move |ty| {
+                let row = ty * tiles_x;
+                row + x0 as usize..row + x1 as usize + 1
+            })
+        })
 }
 
-/// The key-sorted Stage-2 hot path: emits one packed `(tile, depth)` key
-/// per covered tile, radix-sorts the key/value pairs in one pass over
-/// `pool` ([`crate::sort::RadixSorter`]), and builds the CSR offset table
-/// from the sorted runs. All scratch comes from `arena`, so steady-state
+/// PREFIX: an exclusive prefix over (tile, chunk). Row `c` of `rows`
+/// holds chunk `c`'s pair count per tile on entry and chunk `c`'s first
+/// output index per tile on return; `offsets` (one entry per tile plus a
+/// terminator) receives the CSR offsets. Returns the pair total.
+///
+/// # Panics
+/// Panics when the pair total does not fit the `u32` CSR offsets — before
+/// anything is written, so the caller allocates no pair-sized buffer.
+fn prefix_tile_counts(rows: &mut [Vec<u32>], offsets: &mut [u32]) -> usize {
+    let total = rows
+        .iter()
+        .flatten()
+        .try_fold(0u32, |sum, &count| sum.checked_add(count));
+    assert!(
+        total.is_some(),
+        "radix placement offsets are u32: at most 2^32-1 pairs"
+    );
+    // Every partial sum is at most the checked total: no add overflows.
+    let mut running = 0u32;
+    for (tile, offset) in offsets.iter_mut().enumerate() {
+        *offset = running;
+        // The terminator (`tile == tile_count`) has no row entry and
+        // receives the total.
+        for count in rows.iter_mut().filter_map(|row| row.get_mut(tile)) {
+            let start = running;
+            running += *count;
+            *count = start;
+        }
+    }
+    running as usize
+}
+
+/// The Stage-2 hot path, depth first: one stable radix sort of the
+/// frame's *splats* by depth, then a counting scatter of that order into
+/// per-tile CSR ranges. All scratch comes from `arena`, so steady-state
 /// frames make no data-path allocations (and the persistent pool's
 /// workers are parked, not respawned, between `run`s); give the buffers
 /// back with [`RasterWorkload::recycle_into`].
 ///
-/// Key emission runs over `pool` in three steps: a pooled COUNT of each
-/// [`EMIT_CHUNK`]-sized splat chunk's pairs, a PREFIX sum turning the
-/// counts into disjoint per-chunk key ranges, and a pooled EMIT writing
-/// each chunk's pairs into its range. Concatenated, the ranges hold the
-/// pairs in splat submission order — exactly a serial emission — so the
-/// output is **bit-identical** for every worker count, and each tile's
-/// run equals a stable per-tile comparison sort on [`f32::total_cmp`]
-/// ([`crate::sort::depth_key_bits`] preserves that order key for key).
+/// 1. **DEPTH ORDER** — [`crate::sort::RadixSorter`] stably sorts one
+///    [`depth_key_bits`] key per splat together with its index.
+/// 2. **COUNT** — the depth order is cut into one contiguous slice per
+///    pool worker; each slice counts its pairs per tile into its own row
+///    of a `chunks × tile_count` table ([`FrameArena`] holds it).
+/// 3. **PREFIX** — an exclusive prefix over (tile, chunk) on the calling
+///    thread gives the CSR offsets and each chunk's first output index
+///    per tile.
+/// 4. **SCATTER** — each slice walks its splats again and writes their
+///    indices into its own (chunk, tile) ranges of the value buffer, with
+///    its table row as the cursors.
+///
+/// Each tile's run holds the splats covering it in depth order under
+/// [`f32::total_cmp`] (which [`depth_key_bits`] preserves key for key),
+/// ties in submission order: exactly a stable per-tile comparison sort.
+/// That order is unique, so the output is **bit-identical** for every
+/// worker count although the slicing follows the pool width.
 ///
 /// # Panics
-/// Panics when `tile_size` is zero or the image is empty.
+/// Panics when `tile_size` is zero, the image is empty, or the frame has
+/// more than `u32::MAX` `(tile, splat)` pairs (the CSR offsets are `u32`;
+/// checked before the value buffer is sized).
 // gaurast-check: hot-path
 pub fn bin_splats_pooled(
     splats: Vec<Splat2D>,
@@ -133,102 +182,80 @@ pub fn bin_splats_pooled(
     let tiles_x = width.div_ceil(tile_size);
     let tiles_y = height.div_ceil(tile_size);
     let tile_count = (tiles_x * tiles_y) as usize;
-    let n_chunks = splats.len().div_ceil(EMIT_CHUNK);
-    // Chunk c: its first splat index and its splats.
-    let chunk = |c: usize| {
-        let first = c * EMIT_CHUNK;
-        (
-            first,
-            &splats[first..(first + EMIT_CHUNK).min(splats.len())],
-        )
-    };
+    let n = splats.len();
 
-    // COUNT: chunk c's pair total lands in slot c + 1 of the base table.
-    let bases = &mut arena.chunk_bases;
-    bases.clear();
-    bases.resize(n_chunks + 1, 0);
-    pool.run_mut(&mut bases[1..], |c, count| {
-        *count = chunk(c)
-            .1
-            .iter()
-            .map(|s| covered_tiles(s, width, height, tile_size))
-            .sum();
-    });
-    // PREFIX: running sums make chunk c's key range
-    // `bases[c]..bases[c + 1]`.
-    let mut total = 0;
-    for base in bases.iter_mut() {
-        total += *base;
-        *base = total;
+    // DEPTH ORDER: splat indices front to back, equal depths in
+    // submission order (the radix sort is stable).
+    arena.depth_keys.clear();
+    arena
+        .depth_keys
+        .extend(splats.iter().map(|s| u64::from(depth_key_bits(s.depth))));
+    arena.order.clear();
+    arena.order.extend(0..n as u32);
+    arena
+        .sorter
+        .sort_pairs(&mut arena.depth_keys, &mut arena.order, pool);
+    let order = &arena.order[..];
+
+    // COUNT: chunk c is the c-th contiguous slice of the depth order and
+    // counts its pairs per tile into row c.
+    let chunks = pool.workers().min(n).max(1);
+    let slice = |c: usize| &order[c * n / chunks..(c + 1) * n / chunks];
+    if arena.tile_counts.len() < chunks {
+        arena.tile_counts.resize_with(chunks, Default::default);
     }
-    let bases = &*bases;
-
-    // EMIT: one (packed key, splat index) pair per covered tile, splat by
-    // splat in submission order — the order stability preserves for
-    // equal depths.
-    let mut keys = std::mem::take(&mut arena.keys);
-    let mut values = std::mem::take(&mut arena.values);
-    zero_fill(&mut keys, total);
-    zero_fill(&mut values, total);
-    {
-        let out = ScatterOut {
-            keys: keys.as_mut_ptr(),
-            vals: values.as_mut_ptr(),
-        };
-        let out = &out;
-        pool.run(n_chunks, |c| {
-            let (start, end) = (bases[c], bases[c + 1]);
-            let len = end - start;
-            let (keys, vals) = crate::race_region!("per-chunk emission range", {
-                crate::race_write!(out.keys.wrapping_add(start), len);
-                crate::race_write!(out.vals.wrapping_add(start), len);
-                // SAFETY: PREFIX gave chunk c the range
-                // `bases[c]..bases[c + 1]`, disjoint from every other
-                // chunk's and inside both buffers (their length is
-                // `total`, the last base); `run` yields each chunk index
-                // exactly once, so these views never alias.
-                unsafe {
-                    (
-                        std::slice::from_raw_parts_mut(out.keys.add(start), len),
-                        std::slice::from_raw_parts_mut(out.vals.add(start), len),
-                    )
-                }
-            });
-            let mut pos = 0;
-            let (first, chunk_splats) = chunk(c);
-            for (i, s) in (first..).zip(chunk_splats) {
-                let Some((x0, y0, x1, y1)) = tile_range(s, width, height, tile_size) else {
-                    continue;
-                };
-                for ty in y0..=y1 {
-                    for tx in x0..=x1 {
-                        keys[pos] = pack_key(ty * tiles_x + tx, s.depth);
-                        vals[pos] = i as u32;
-                        pos += 1;
-                    }
+    let rows = &mut arena.tile_counts[..chunks];
+    pool.run_mut(rows, |c, counts| {
+        counts.clear();
+        counts.resize(tile_count, 0);
+        for &i in slice(c) {
+            for run in covered_runs(&splats[i as usize], width, height, tile_size) {
+                for count in &mut counts[run] {
+                    *count += 1;
                 }
             }
-            debug_assert_eq!(pos, len, "COUNT/EMIT disagree on chunk {c}");
-        });
-    }
+        }
+    });
 
-    // One stable LSD radix sort orders every tile's run front-to-back.
-    arena.sorter.sort_pairs(&mut keys, &mut values, pool);
-
-    // CSR offsets from the sorted keys: count per tile, then prefix-sum.
+    // PREFIX: CSR offsets, and each row turned into its chunk's cursors.
     let mut offsets = std::mem::take(&mut arena.offsets);
     offsets.clear();
     offsets.resize(tile_count + 1, 0);
-    for &k in &keys {
-        offsets[key_tile(k) as usize + 1] += 1;
-    }
-    let mut running = 0;
-    for offset in &mut offsets {
-        running += *offset;
-        *offset = running;
+    let total = prefix_tile_counts(rows, &mut offsets);
+
+    // SCATTER: chunk c appends its splats, in depth order, to its ranges.
+    let mut values = std::mem::take(&mut arena.values);
+    zero_fill(&mut values, total);
+    {
+        let out = U32Out(values.as_mut_ptr());
+        let out = &out;
+        pool.run_mut(rows, |c, cursors| {
+            for &i in slice(c) {
+                for run in covered_runs(&splats[i as usize], width, height, tile_size) {
+                    for cursor in &mut cursors[run] {
+                        let at = *cursor as usize;
+                        *cursor += 1;
+                        assert!(at < total, "scatter cursor past the pair total");
+                        crate::race_region!("disjoint (chunk, tile) scatter slots", {
+                            crate::race_write!(out.0.wrapping_add(at), 1);
+                            // SAFETY: COUNT and SCATTER walk the same slice
+                            // through the same pure `covered_runs`, so
+                            // chunk c writes exactly its counted pairs per
+                            // tile, starting at the PREFIX start of its
+                            // (chunk, tile) range. The exclusive prefix
+                            // over exact counts makes those ranges
+                            // disjoint and covers `0..total` with them,
+                            // `values` holds `total` elements (sized
+                            // above; `at < total` is asserted), and
+                            // `run_mut` hands each row to one job only.
+                            unsafe { *out.0.add(at) = i };
+                        });
+                    }
+                }
+            }
+        });
     }
 
-    arena.keys = keys;
     RasterWorkload::from_csr(
         width,
         height,
@@ -333,6 +360,28 @@ mod tests {
             &WorkerPool::new(3),
         );
         assert_eq!(keyed, legacy);
+    }
+
+    #[test]
+    fn prefix_orders_starts_tile_major_then_chunk() {
+        let mut rows = vec![vec![2, 0, 1], vec![1, 3, 0]];
+        let mut offsets = [9; 4];
+        assert_eq!(prefix_tile_counts(&mut rows, &mut offsets), 7);
+        assert_eq!(offsets, [0, 3, 6, 7]);
+        assert_eq!(rows, [vec![0, 3, 6], vec![2, 3, 7]]);
+        // A total of exactly u32::MAX still fits the offsets.
+        let mut rows = vec![vec![u32::MAX - 1], vec![1]];
+        assert_eq!(
+            prefix_tile_counts(&mut rows, &mut [0; 2]),
+            u32::MAX as usize
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^32-1 pairs")]
+    fn pair_total_beyond_u32_is_refused_before_scatter() {
+        let mut rows = vec![vec![u32::MAX, 0], vec![0, 1]];
+        prefix_tile_counts(&mut rows, &mut [0; 3]);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! consume this same structure, so the speedups compare identical work
 //! (DESIGN.md §6, decision 1).
 //!
-//! The CSR buffers (and the packed 64-bit sort keys that produce them —
-//! see [`crate::sort::pack_key`]) live in a per-session [`FrameArena`], so
-//! steady-state frames run Stage 2 without allocating.
+//! The CSR buffers, and the per-splat depth order Stage 2 scatters into
+//! them ([`crate::tile::bin_splats_pooled`]), live in a per-session
+//! [`FrameArena`], so steady-state frames run Stage 2 without allocating.
 
 use crate::preprocess::Splat2D;
 use crate::sort::RadixSorter;
@@ -170,7 +170,7 @@ impl RasterWorkload {
     /// constructor establishes the order; already-sorted lists pass
     /// through bit-identically). This is the compatibility entry for
     /// tests, custom tilers and trace replay ([`crate::trace`]); the
-    /// reference pipeline builds workloads through the key-sorted CSR
+    /// reference pipeline builds workloads through the depth-first CSR
     /// path ([`crate::tile::bin_splats_pooled`]).
     ///
     /// # Panics
@@ -518,17 +518,24 @@ impl TileRef<'_> {
     }
 }
 
-/// Per-session Stage-2 scratch: the packed-key, CSR, sorter and
-/// processed-count buffers a frame needs, recycled across frames so
-/// steady-state Stage 2 allocates nothing.
+/// Per-session Stage-2 scratch: the depth-order, tile-count, CSR, sorter
+/// and processed-count buffers a frame needs, recycled across frames so
+/// steady-state Stage 2 allocates nothing. Only the CSR value buffer is
+/// sized by the frame's `(tile, splat)` pair count.
 ///
 /// Thread one arena through [`crate::tile::bin_splats_pooled`] and give
 /// the buffers back with [`RasterWorkload::recycle_into`] after the frame.
 #[derive(Debug, Default)]
 pub struct FrameArena {
-    /// Packed `(tile, depth)` sort keys ([`crate::sort::pack_key`]); only
-    /// live during binning — the finished workload keeps values/offsets.
-    pub(crate) keys: Vec<u64>,
+    /// One depth key per splat ([`crate::sort::depth_key_bits`]), sorted
+    /// along with [`FrameArena::order`]; only live during binning.
+    pub(crate) depth_keys: Vec<u64>,
+    /// Splat indices, sorted front to back by the depth keys (ties in
+    /// submission order); only live during binning.
+    pub(crate) order: Vec<u32>,
+    /// One row per binning chunk, `tile_count` entries each: the chunk's
+    /// pair count per tile, then its scatter cursor per tile.
+    pub(crate) tile_counts: Vec<Vec<u32>>,
     /// CSR value buffer under construction.
     pub(crate) values: Vec<u32>,
     /// CSR offset table under construction.
@@ -537,9 +544,6 @@ pub struct FrameArena {
     pub(crate) sorter: RadixSorter,
     /// Recycled processed-count buffer.
     pub(crate) processed: Vec<u32>,
-    /// Per-chunk key counts, prefix-summed in place into each emission
-    /// chunk's key range ([`crate::tile::EMIT_CHUNK`]).
-    pub(crate) chunk_bases: Vec<usize>,
     /// Recycled structure-of-arrays splat buffers ([`SplatSoA`]).
     pub(crate) soa: SplatSoA,
 }

@@ -1,11 +1,11 @@
-//! Golden frame: `render()` on a fixed scene that spans many Stage-1 and
-//! Stage-2 emission chunks must reproduce recorded bits — the image, the
-//! CSR values and offsets, and the per-tile processed counts — at every
-//! worker width.
+//! Golden frame: `render()` on a fixed scene that spans many Stage-1
+//! chunks and long Stage-2 scatter slices must reproduce recorded bits —
+//! the image, the CSR values and offsets, and the per-tile processed
+//! counts — at every worker width.
 
 use gaurast_math::Vec3;
 use gaurast_render::pipeline::{render, RenderConfig, RenderOutput};
-use gaurast_render::tile::EMIT_CHUNK;
+use gaurast_render::preprocess::PREPROCESS_CHUNK;
 use gaurast_scene::generator::SceneParams;
 use gaurast_scene::Camera;
 
@@ -64,7 +64,7 @@ fn multi_chunk_frame_matches_golden_at_widths_1_2_4() {
             &RenderConfig::default().with_workers(workers),
         );
         assert!(
-            out.preprocess.visible > 4 * EMIT_CHUNK,
+            out.preprocess.visible > 4 * PREPROCESS_CHUNK,
             "scene must span several chunks, got {} visible",
             out.preprocess.visible
         );

@@ -1,16 +1,17 @@
-//! Key-sorted Stage-2 equivalence suite: the pooled packed-key
-//! radix/CSR path must be **bit-identical** to the legacy per-tile
-//! comparison-sort algorithm (kept here as a test oracle) — workloads,
-//! processed counts, statistics and rendered images — for random scenes,
-//! cameras, tie-heavy depth distributions, boundary-exact tile boxes,
-//! multi-chunk key emission, and every worker count.
+//! Stage-2 equivalence suite: the depth-first path (one radix sort of the
+//! splats by depth, then a pooled counting scatter into CSR tile ranges)
+//! must be **bit-identical** to the legacy per-tile comparison-sort
+//! algorithm (kept here as a test oracle) — workloads, processed counts,
+//! statistics and rendered images — for random scenes, cameras,
+//! tie-heavy depth distributions, boundary-exact tile boxes, scatter
+//! slices of every size, and every worker count.
 
 use gaurast_math::{Vec2, Vec3};
 use gaurast_render::pipeline::{render, PreprocessStats, RenderConfig};
 use gaurast_render::preprocess::preprocess;
 use gaurast_render::rasterize::rasterize;
-use gaurast_render::sort::{depth_key_bits, is_depth_sorted, pack_key, RadixSorter};
-use gaurast_render::tile::{bin_splats_pooled, tile_range, EMIT_CHUNK};
+use gaurast_render::sort::{depth_key_bits, is_depth_sorted, RadixSorter};
+use gaurast_render::tile::{bin_splats_pooled, tile_range};
 use gaurast_render::{FrameArena, RasterWorkload, Splat2D, WorkerPool};
 use gaurast_scene::{Camera, Gaussian3, GaussianScene};
 use proptest::prelude::*;
@@ -216,58 +217,101 @@ proptest! {
     }
 }
 
-/// Multi-chunk key emission: splat counts on both sides of every
-/// [`EMIT_CHUNK`] boundary, plus several full chunks, bin identically to
-/// the per-tile oracle at every width 1–8.
+/// Scatter slicing: Stage 2 cuts the depth order into one slice per
+/// worker, so at width `w` the splat counts 0, 1, `w − 1`, `w` and
+/// `w + 1` give empty, single-splat and uneven slices, and a
+/// multi-thousand scene gives long ones. All bin identically to the
+/// per-tile oracle at every width 1–8.
 #[test]
 fn emission_chunk_boundaries_match_oracle_at_widths_1_to_8() {
     let splat = |i: usize| Splat2D {
         mean: Vec2::new((i * 37 % 200) as f32 - 20.0, (i * 53 % 140) as f32 - 10.0),
         conic: [0.05, 0.0, 0.05],
-        // Few distinct depths: long equal-depth runs span chunk seams.
+        // Few distinct depths: long equal-depth runs span slice seams.
         depth: 0.5 + (i % 11) as f32 * 0.25,
         color: Vec3::one(),
         opacity: 0.6,
         radius: (i % 23) as f32 * 0.5,
         source: i as u32,
     };
-    for n in [
-        0,
-        1,
-        EMIT_CHUNK - 1,
-        EMIT_CHUNK,
-        EMIT_CHUNK + 1,
-        4 * EMIT_CHUNK + 7,
-    ] {
-        let splats: Vec<Splat2D> = (0..n).map(splat).collect();
-        let oracle = per_tile_oracle(splats.clone(), 160, 112, 16);
-        for workers in 1..=8 {
-            let pool = WorkerPool::new(workers);
-            let mut arena = FrameArena::new();
-            let keyed = bin_splats_pooled(splats.clone(), 160, 112, 16, &mut arena, &pool);
-            assert_eq!(keyed, oracle, "{n} splats at width {workers}");
+    let scene = |n: usize| (0..n).map(splat).collect::<Vec<Splat2D>>();
+    let large = scene(4103);
+    let large_oracle = per_tile_oracle(large.clone(), 160, 112, 16);
+    for workers in 1..=8usize {
+        let pool = WorkerPool::new(workers);
+        let mut arena = FrameArena::new();
+        for n in [0, 1, workers - 1, workers, workers + 1] {
+            let splats = scene(n);
+            let oracle = per_tile_oracle(splats.clone(), 160, 112, 16);
+            let got = bin_splats_pooled(splats, 160, 112, 16, &mut arena, &pool);
+            assert_eq!(got, oracle, "{n} splats at width {workers}");
+            got.recycle_into(&mut arena);
         }
+        let got = bin_splats_pooled(large.clone(), 160, 112, 16, &mut arena, &pool);
+        assert_eq!(
+            got,
+            large_oracle,
+            "{} splats at width {workers}",
+            large.len()
+        );
     }
 }
 
-/// Packed keys order tile-major, then front-to-back, with the depth half
-/// strictly monotone over positive depths.
+/// Equal depths keep submission order across tiles and slice seams: a
+/// tie-heavy scene of splats covering several tiles each, with depths
+/// drawn from {−0.0, +0.0, 1.0, 2.0}, bins to the oracle at every width,
+/// every tie in every tile runs in ascending splat index, and −0.0 sorts
+/// before +0.0 (as [`f32::total_cmp`] orders them).
 #[test]
-fn packed_key_ordering_unit_cases() {
-    // Tile dominates depth.
-    assert!(pack_key(0, 1e9) < pack_key(1, 1e-9));
-    // Depth ordering inside one tile, including denormal and huge values.
-    let depths = [1e-40f32, 1e-9, 0.25, 0.5, 1.0, 3.0, 1e9, 3.5e37];
-    for w in depths.windows(2) {
-        assert!(
-            pack_key(7, w[0]) < pack_key(7, w[1]),
-            "{} vs {}",
-            w[0],
-            w[1]
+fn tie_heavy_depths_keep_submission_order_at_every_width() {
+    let depths = [0.0f32, -0.0, 1.0, 0.0, 2.0, -0.0, 1.0];
+    let splats: Vec<Splat2D> = (0..61usize)
+        .map(|i| Splat2D {
+            mean: Vec2::new((i * 11 % 64) as f32, (i * 7 % 48) as f32),
+            conic: [0.05, 0.0, 0.05],
+            depth: depths[i % depths.len()],
+            color: Vec3::one(),
+            opacity: 0.6,
+            // 3σ squares of 12–30 px: each splat covers 1–9 tiles.
+            radius: 6.0 + (i % 4) as f32 * 3.0,
+            source: i as u32,
+        })
+        .collect();
+    let oracle = per_tile_oracle(splats.clone(), 64, 48, 16);
+    for workers in 1..=8 {
+        let got = bin_splats_pooled(
+            splats.clone(),
+            64,
+            48,
+            16,
+            &mut FrameArena::new(),
+            &WorkerPool::new(workers),
         );
+        assert_eq!(got, oracle, "width {workers}");
+        let s = got.splats();
+        for tile in got.tiles() {
+            for w in tile.list.windows(2) {
+                let (a, b) = (s[w[0] as usize].depth, s[w[1] as usize].depth);
+                assert_ne!(a.total_cmp(&b), std::cmp::Ordering::Greater);
+                if a.to_bits() == b.to_bits() {
+                    assert!(w[0] < w[1], "tie broke submission order at width {workers}");
+                }
+            }
+            let neg = tile
+                .list
+                .iter()
+                .rposition(|&i| s[i as usize].depth.to_bits() == (-0.0f32).to_bits());
+            let pos = tile
+                .list
+                .iter()
+                .position(|&i| s[i as usize].depth.to_bits() == 0);
+            if let (Some(neg), Some(pos)) = (neg, pos) {
+                assert!(neg < pos, "-0.0 must precede +0.0");
+            }
+        }
     }
-    // Equal depths pack equal keys (ties resolved by sort stability).
-    assert_eq!(pack_key(3, 2.0), pack_key(3, 2.0));
+    // The scene really is tie-heavy across tiles.
+    assert!(oracle.tiles().filter(|t| t.list.len() > 8).count() >= 4);
 }
 
 /// Steady-state Stage 2 must not allocate: after the first frame warms the

@@ -111,8 +111,8 @@ proptest! {
 }
 
 /// Deterministic sweep: every width 1–8 agrees bit for bit on a fixed
-/// multi-chunk scene (5000 Gaussians → 5 Stage-1 chunks and several
-/// Stage-2 emission chunks).
+/// multi-chunk scene (5000 Gaussians → 5 Stage-1 chunks and one Stage-2
+/// scatter slice per worker).
 #[test]
 fn all_widths_agree_on_fixed_scene() {
     let scene = fixed_scene(5000);
